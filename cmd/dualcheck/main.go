@@ -10,7 +10,7 @@
 // Each input file lists one hyperedge per line as whitespace-separated
 // vertex names ('-' denotes the empty edge, '#' starts a comment). The two
 // files share one vertex universe. The decision runs on the selected
-// engine; the default portfolio dispatches on instance shape, and -race
+// engine; the default portfolio dispatches on edge counts, and -race
 // hedges it by racing two engines. -algo keeps the legacy spellings (bm,
 // bmp, fka, fkb) plus the space-bounded certificate search, whose regime
 // -mode selects. Exit status: 0 dual, 1 not dual, 2 error.
@@ -34,7 +34,7 @@ func main() {
 	raceMode := flag.Bool("race", false, "race the portfolio's selection against a contrasting engine")
 	algo := flag.String("algo", "", "legacy algorithm spelling: bm, bmp, fka, fkb, space")
 	mode := flag.String("mode", "replay", "space regime for -algo space: replay, strict, pipelined")
-	workers := flag.Int("workers", 0, "goroutines for core-parallel / -algo bmp (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "goroutines for -engine core-parallel / -algo bmp only (0 = GOMAXPROCS)")
 	quiet := flag.Bool("q", false, "suppress witness output")
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -72,9 +72,10 @@ func main() {
 
 // resolveEngine maps the -engine / -algo / -race / -workers flags to an
 // engine: -engine wins over the legacy -algo spellings, then the default
-// portfolio. -race applies only to the portfolio and -workers only to the
-// parallel engines; asking for either on an engine that cannot honor it is
-// an error rather than a silent fallback.
+// portfolio. -race applies only to the portfolio and -workers only to
+// core-parallel (-engine core-parallel or -algo bmp), which the portfolio
+// never selects; asking for either on an engine that cannot honor it is an
+// error rather than a silent fallback.
 func resolveEngine(name, algo string, raceMode bool, workers int) (dualspace.Engine, error) {
 	if name == "" {
 		switch algo {
@@ -95,18 +96,14 @@ func resolveEngine(name, algo string, raceMode bool, workers int) (dualspace.Eng
 	if raceMode && name != "portfolio" {
 		return nil, fmt.Errorf("-race applies only to the portfolio engine, not %q", name)
 	}
-	if workers != 0 && name != "portfolio" && name != "core-parallel" {
-		return nil, fmt.Errorf("-workers applies only to core-parallel or the portfolio, not %q", name)
+	if workers != 0 && name != "core-parallel" {
+		return nil, fmt.Errorf("-workers applies only to -engine core-parallel (or -algo bmp), not %q", name)
 	}
-	switch name {
-	case "portfolio":
-		if raceMode || workers != 0 {
-			return dualspace.NewPortfolioEngine(dualspace.PortfolioConfig{Workers: workers, Race: raceMode}), nil
-		}
-	case "core-parallel":
-		if workers != 0 {
-			return dualspace.NewParallelEngine(workers), nil
-		}
+	switch {
+	case name == "portfolio" && raceMode:
+		return dualspace.NewPortfolioEngine(dualspace.PortfolioConfig{Race: true}), nil
+	case name == "core-parallel" && workers != 0:
+		return dualspace.NewParallelEngine(workers), nil
 	}
 	return dualspace.EngineByName(name)
 }

@@ -460,8 +460,8 @@ func newHTTPClient(clients int) *http.Client {
 	return &http.Client{Transport: tr, Timeout: 5 * time.Minute}
 }
 
-// runDecide replays the mix as individual /v1/decide calls, round-robin
-// across addrs. Under -retry the latency of a healed request covers the
+// runDecide replays the mix as individual /v1/decide calls, each sent to
+// a replica of addrs picked uniformly at random. Under -retry the latency of a healed request covers the
 // whole retry chain, backoffs included — the time a production caller
 // actually waited for the answer.
 func runDecide(hc *http.Client, addrs []string, rows [][]byte, clients, requests int, rc retryCfg) runResult {
@@ -523,7 +523,7 @@ func runDecide(hc *http.Client, addrs []string, rows [][]byte, clients, requests
 }
 
 // runBatch replays the same mix as NDJSON batches of batchSize, each
-// batch round-robined across addrs. Under -retry a shed batch (503 before
+// batch sent to a replica of addrs picked uniformly at random. Under -retry a shed batch (503 before
 // any row was drained) is resubmitted whole; row-level error rows inside
 // a 200 stream stay errors — re-running a partially answered batch would
 // double-count its items.
@@ -608,7 +608,7 @@ func runBatch(hc *http.Client, addrs []string, rows [][]byte, clients, requests,
 }
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8372", "dualserved base URL, or a comma-separated replica list (round-robin)")
+	addr := flag.String("addr", "http://127.0.0.1:8372", "dualserved base URL, or a comma-separated replica list (each request picks a replica uniformly at random)")
 	clients := flag.Int("clients", 8, "concurrent clients")
 	requests := flag.Int("requests", 200, "decisions per client")
 	distinct := flag.Int("distinct", 8, "canonically distinct instances in the mix")

@@ -81,7 +81,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent decision computations (0 = GOMAXPROCS)")
 	cache := flag.Int("cache", 1024, "verdict cache capacity in entries (negative disables)")
 	cacheShards := flag.Int("cache-shards", 0, "verdict cache shard count (0 = default, rounded up to a power of two)")
-	memo := flag.Int("memo", 0, "per-worker subinstance-memo entries (0 = default, negative disables)")
+	memo := flag.Int("memo", 0, "per-worker subinstance-memo budget: n entries plus at most n×32 words of key storage, reset when full (0 = 4096, at most about 1.1 MiB; negative disables)")
 	maxEdges := flag.Int("max-edges", service.DefaultLimits.MaxEdges, "max edges/rows per input")
 	maxEdgeVerts := flag.Int("max-edge-verts", service.DefaultLimits.MaxEdgeVerts, "max vertices per edge")
 	maxUniverse := flag.Int("max-universe", service.DefaultLimits.MaxUniverse, "max distinct vertex/item names per request")

@@ -204,7 +204,7 @@ func EngineNames() []string { return engine.Names() }
 func NewPortfolioEngine(cfg PortfolioConfig) Engine { return engine.NewPortfolio(cfg) }
 
 // NewParallelEngine returns the parallel decomposition engine with the given
-// goroutine bound (0 = GOMAXPROCS).
+// goroutine bound (0 = GOMAXPROCS). The default portfolio never selects it.
 func NewParallelEngine(workers int) Engine { return engine.NewCoreParallel(workers) }
 
 // NewEngineSession returns a session pinning eng's scratch (nil = default

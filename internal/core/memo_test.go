@@ -15,10 +15,30 @@ import (
 // of instances — so entries recorded by earlier decisions are live for later
 // ones — and every verdict must match the memo-free reference decision, with
 // valid witnesses on the non-dual side. The sequence deliberately repeats
-// and perturbs instances to force cross-decision hits.
+// and perturbs instances to force cross-decision hits. It runs at the
+// default budget and at a tiny one (16 entries, 512 key words), where epoch
+// resets land in the middle of the sequence — often in the middle of a
+// decision — and must not change a verdict.
 func TestMemoDifferential(t *testing.T) {
-	d := core.NewDecider()
-	d.EnableMemo(0)
+	for _, entries := range []int{0, 16} {
+		d := core.NewDecider()
+		d.EnableMemo(entries)
+		memoDifferential(t, d)
+		st := d.MemoStats()
+		if st.Hits == 0 {
+			t.Errorf("entries=%d: memo recorded no hits over the differential sequence (stats %+v)", entries, st)
+		}
+		if st.Inserts == 0 || st.Entries == 0 {
+			t.Errorf("entries=%d: memo recorded no inserts (stats %+v)", entries, st)
+		}
+		if entries > 0 && (st.Evictions == 0 || st.Entries > int64(entries)) {
+			t.Errorf("entries=%d: want epoch resets and at most %d entries resident (stats %+v)", entries, entries, st)
+		}
+	}
+}
+
+func memoDifferential(t *testing.T, d *core.Decider) {
+	t.Helper()
 	r := rand.New(rand.NewSource(4))
 
 	check := func(name string, g, h *hypergraph.Hypergraph) {
@@ -62,14 +82,6 @@ func TestMemoDifferential(t *testing.T) {
 		}
 		sd := gen.SelfDualize(g, h)
 		check("rand-selfdual", sd, sd)
-	}
-
-	st := d.MemoStats()
-	if st.Hits == 0 {
-		t.Errorf("memo recorded no hits over the differential sequence (stats %+v)", st)
-	}
-	if st.Inserts == 0 || st.Entries == 0 {
-		t.Errorf("memo recorded no inserts (stats %+v)", st)
 	}
 }
 

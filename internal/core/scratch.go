@@ -6,10 +6,8 @@ package core
 // The classification state is INCREMENTAL: instead of re-scanning every edge
 // of G and H against the node set Sα (the O(m·n/w) per-node work of the
 // naive kernel), a scratch maintains, through hypergraph.Index occurrence
-// rows, the quantities marksmall/process actually consume —
+// rows, the quantities process consumes at every internal node —
 //
-//	cntG[j]  = |E_j ∩ Sα|          (per g-edge projected size)
-//	zeroG    = #{j : cntG[j] = 0}   (is ∅ ∈ G_Sα? — marksmall, O(1))
 //	missH[j] = |F_j − Sα|           (h-edge distance from H_Sα membership)
 //	hsSet    = {j : missH[j] = 0}   (H_Sα as an edge-index set)
 //	degH[v]  = #{j ∈ hsSet : v ∈ F_j} (the degrees behind the majority set)
@@ -17,6 +15,10 @@ package core
 // — and updates them in O(changed) as the DFS removes and restores the
 // vertices that differ between a node and its child (every child set of the
 // Boros–Makino decomposition is obtained from its parent by deletions).
+// The projected g-edge sizes |E_j ∩ Sα| are not maintained: only marksmall
+// reads them, at nodes with |H_Sα| ≤ 1, and computing the few it needs
+// there costs less than updating all of them on every descent (the walk's
+// g is its larger side, so each vertex lies in many of its edges).
 // A walker that hands an arbitrary set to the scratch (the parallel search
 // at a subtree handoff, Classify/BuildTree per node) re-synchronizes with
 // one syncTo pass.
@@ -139,8 +141,6 @@ type scratch struct {
 
 	// Incremental per-Sα state; see the package comment. Valid for the set
 	// last passed to syncTo, as adjusted by removeVertex/restoreVertex.
-	cntG    []int32
-	zeroG   int
 	missH   []int32
 	hsSet   bitset.Set // over [0, hIdx.OccUniverse())
 	hsCount int
@@ -152,6 +152,7 @@ type scratch struct {
 	wit       bitset.Set       // witness t(α) of the last fail classification
 	hitG      bitset.Set       // over [0, gIdx.OccUniverse()): g-edges meeting Iα
 	candG     bitset.Set       // over [0, gIdx.OccUniverse()): step-3 candidate edges
+	gTmp      bitset.Set       // over [0, gIdx.OccUniverse()): marksmall temporary
 	notCont   bitset.Set       // over [0, hIdx.OccUniverse()): h-edges meeting Sα − Iα
 	contained bitset.Set       // over [0, hIdx.OccUniverse()): H_Sα edges inside Iα
 	dedup     map[uint64]int32 // child-set hash → index of first occurrence
@@ -252,11 +253,7 @@ func (sc *scratch) swap() {
 // size fits the per-edge state and the edge-universe scratch sets to the
 // current (g, h) and their indexes.
 func (sc *scratch) size() {
-	mg, mh := sc.g.M(), sc.h.M()
-	if cap(sc.cntG) < mg {
-		sc.cntG = make([]int32, mg)
-	}
-	sc.cntG = sc.cntG[:mg]
+	mh := sc.h.M()
 	if cap(sc.missH) < mh {
 		sc.missH = make([]int32, mh)
 	}
@@ -264,6 +261,7 @@ func (sc *scratch) size() {
 	if u := sc.gIdx.OccUniverse(); sc.hitG.Universe() != u {
 		sc.hitG = bitset.New(u)
 		sc.candG = bitset.New(u)
+		sc.gTmp = bitset.New(u)
 	}
 	if u := sc.hIdx.OccUniverse(); sc.hsSet.Universe() != u {
 		sc.hsSet = bitset.New(u)
@@ -279,14 +277,6 @@ func (sc *scratch) size() {
 //
 //dual:allocfree
 func (sc *scratch) syncTo(s bitset.Set) {
-	sc.zeroG = 0
-	for j := 0; j < sc.g.M(); j++ {
-		c := int32(sc.g.Edge(j).IntersectionCount(s))
-		sc.cntG[j] = c
-		if c == 0 {
-			sc.zeroG++
-		}
-	}
 	sc.hsSet.Clear()
 	sc.hsCount = 0
 	for j := 0; j < sc.h.M(); j++ {
@@ -305,18 +295,11 @@ func (sc *scratch) syncTo(s bitset.Set) {
 }
 
 // removeVertex updates the incremental state for Sα := Sα − {v}, in
-// O(deg_G(v)/w + deg_H(v)/w) plus the contents of the h-edges that leave
-// H_Sα (each edge leaves at most once per root-to-node path).
+// O(deg_H(v)) plus the contents of the h-edges that leave H_Sα (each edge
+// leaves at most once per root-to-node path).
 //
 //dual:allocfree
 func (sc *scratch) removeVertex(v int) {
-	sc.gIdx.Occ(v).ForEach(func(j int) bool {
-		sc.cntG[j]--
-		if sc.cntG[j] == 0 {
-			sc.zeroG++
-		}
-		return true
-	})
 	sc.hIdx.Occ(v).ForEach(func(j int) bool {
 		sc.missH[j]++
 		if sc.missH[j] == 1 {
@@ -332,13 +315,6 @@ func (sc *scratch) removeVertex(v int) {
 //
 //dual:allocfree
 func (sc *scratch) restoreVertex(v int) {
-	sc.gIdx.Occ(v).ForEach(func(j int) bool {
-		if sc.cntG[j] == 0 {
-			sc.zeroG--
-		}
-		sc.cntG[j]++
-		return true
-	})
 	sc.hIdx.Occ(v).ForEach(func(j int) bool {
 		sc.missH[j]--
 		if sc.missH[j] == 0 {
@@ -370,13 +346,28 @@ func (sc *scratch) classifyNode(s bitset.Set, fr *frame) nodeVerdict {
 	return v
 }
 
-// marksmall implements the paper's marksmall procedure for |H_S| ≤ 1.
+// marksmall implements the paper's marksmall procedure for |H_S| ≤ 1. The
+// projected g-edges it asks about are read off Sα's occurrence rows:
+// E_j ∩ Sα = ∅ iff no row of Sα contains j, and E_j ∩ Sα = {i} iff the
+// row of i is the only one that does.
 //
 //dual:allocfree
 func (sc *scratch) marksmall(s bitset.Set, v *nodeVerdict) {
-	emptyInGS := sc.zeroG > 0 // some g-edge projects to ∅ within S
+	// once: g-edges meeting Sα; twice: g-edges meeting it in ≥ 2 vertices.
+	once, twice, both := sc.hitG, sc.candG, sc.gTmp
+	once.Clear()
+	twice.Clear()
+	s.ForEach(func(u int) bool {
+		occ := sc.gIdx.Occ(u)
+		if sc.hsCount == 1 {
+			occ.IntersectInto(once, both)
+			both.UnionInto(twice, twice) //dual:allow(bitsetalias: in-place accumulation into twice)
+		}
+		occ.UnionInto(once, once) //dual:allow(bitsetalias: in-place accumulation into once)
+		return true
+	})
 	if sc.hsCount == 0 {
-		if !emptyInGS {
+		if once.Len() == sc.g.M() { // no g-edge projects to ∅ within S
 			v.kind, v.mark = KindSmall0Fail, MarkFail // case 1: t(α) = Sα
 			sc.wit.CopyFrom(s)
 		} else {
@@ -384,12 +375,14 @@ func (sc *scratch) marksmall(s bitset.Set, v *nodeVerdict) {
 		}
 		return
 	}
-	// |H_S| = 1.
+	// |H_S| = 1. After this, once holds the g-edges meeting Sα in exactly
+	// one vertex, so {i} ∈ G_S iff the row of i meets once.
+	once.DiffInto(twice, once) //dual:allow(bitsetalias: in-place difference)
 	j := sc.hsSet.Min()
 	he := sc.h.Edge(j)
 	missing := -1
 	he.ForEach(func(i int) bool {
-		if !sc.singletonInGS(i) {
+		if !sc.gIdx.Occ(i).Intersects(once) {
 			missing = i
 			return false // smallest such i, per the deterministic variant
 		}
@@ -403,21 +396,6 @@ func (sc *scratch) marksmall(s bitset.Set, v *nodeVerdict) {
 	v.chosenEdge = j
 	sc.wit.CopyFrom(s)
 	sc.wit.Remove(missing)
-}
-
-// singletonInGS reports whether {i} ∈ G_S for a vertex i ∈ Sα: some g-edge
-// containing i projects onto exactly {i}, read off the occurrence row and
-// the maintained projected sizes.
-func (sc *scratch) singletonInGS(i int) bool {
-	found := false
-	sc.gIdx.Occ(i).ForEach(func(j int) bool {
-		if sc.cntG[j] == 1 {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // process implements the paper's process procedure for |H_S| ≥ 2.

@@ -3,7 +3,7 @@
 // Boros–Makino decomposition (serial and parallel, internal/core), the
 // space-metered replay walker (internal/logspace), and the Fredman–Khachiyan
 // algorithms A and B (internal/fkdual) — plus a Portfolio that dispatches on
-// cheap instance features (with an optional racing mode) and a Session that
+// edge counts (with an optional racing mode) and a Session that
 // pins per-engine scratch so a long-lived holder's repeated decisions are
 // allocation-free across calls.
 //
@@ -111,7 +111,8 @@ func (coreSerial) trSubsetWith(ctx context.Context, d *core.Decider, g, h *hyper
 type coreParallel struct{ workers int }
 
 // NewCoreParallel returns the parallel decomposition engine with the given
-// goroutine bound (0 = GOMAXPROCS).
+// goroutine bound (0 = GOMAXPROCS). The portfolio never selects it; callers
+// opt in by name or through here.
 func NewCoreParallel(workers int) Engine { return coreParallel{workers: workers} }
 
 func (coreParallel) Name() string { return "core-parallel" }
@@ -262,8 +263,8 @@ func ByName(name string) (Engine, error) {
 	return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
 }
 
-// defaultPortfolio is the shared default engine: a non-racing portfolio with
-// GOMAXPROCS-wide parallel fallback. Portfolios are stateless, so one
+// defaultPortfolio is the shared default engine: a non-racing portfolio,
+// which never selects core-parallel. Portfolios are stateless, so one
 // instance serves every caller.
 var defaultPortfolio = NewPortfolio(PortfolioConfig{})
 

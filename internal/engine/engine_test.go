@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"dualspace/internal/engine"
@@ -51,54 +52,50 @@ func star(m int) *hypergraph.Hypergraph {
 	return h
 }
 
+// TestPortfolioSelect pins the two-rule dispatch: a side with at most two
+// edges goes to FK-B, everything else to the serial core, whatever
+// GOMAXPROCS is. The portfolio never selects a parallel engine, so every
+// default decision runs on a session's pinned, memoized walker.
 func TestPortfolioSelect(t *testing.T) {
-	// Pin the worker bound so the selection policy under test does not
-	// depend on the host's GOMAXPROCS (a single-slot pool never goes
-	// parallel; see the dedicated case below).
-	p := engine.NewPortfolio(engine.PortfolioConfig{Workers: 4})
+	type instance struct {
+		name string
+		g, h *hypergraph.Hypergraph
+	}
+	insts := []instance{
+		{"majority-7", gen.Majority(7), gen.Majority(7)},
+		{"majority-9", gen.Majority(9), gen.Majority(9)},
+		{"star-60", star(60), star(60)},
+	}
+	for _, p := range gen.Families(11) {
+		insts = append(insts, instance{p.Name, p.G, p.H})
+	}
+	p := engine.Default().(*engine.Portfolio)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, in := range insts {
+			sel, f := p.Select(in.g, in.h)
+			want := "core"
+			if f.MinSide <= 2 {
+				want = "fk-b"
+			}
+			if sel.Name() != want || sel.Caps().Parallel {
+				t.Errorf("GOMAXPROCS=%d %s: selected %s (parallel=%v), want %s (features %+v)",
+					procs, in.name, sel.Name(), sel.Caps().Parallel, want, f)
+			}
+			if f.MinSide != min(in.g.M(), in.h.M()) || f.Product != in.g.M()*in.h.M() {
+				t.Errorf("%s: features %+v disagree with the edge counts", in.name, f)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
 
-	// A two-edge side dispatches to FK-B regardless of the other side.
+	// Both rules are exercised: a two-edge side dispatches to FK-B
+	// regardless of the other side.
 	if sel, f := p.Select(gen.Matching(2), gen.MatchingDual(2)); sel.Name() != "fk-b" || f.MinSide != 2 {
 		t.Errorf("small side: selected %s (features %+v)", sel.Name(), f)
 	}
-
-	// Mid-size products stay on the serial walker.
-	if sel, f := p.Select(gen.Matching(5), gen.MatchingDual(5)); sel.Name() != "core" {
-		t.Errorf("mid size: selected %s (features %+v)", sel.Name(), f)
-	}
-
-	// Large non-acyclic products go parallel: the 9-majority (C(9,5) = 126
-	// edges, degeneracy > 2) against itself crosses the product threshold.
-	big := gen.Majority(9)
-	if sel, f := p.Select(big, big); sel.Name() != "core-parallel" || !f.Structural {
-		t.Errorf("large size: selected %s (features %+v)", sel.Name(), f)
-	}
-
-	// Large but α-acyclic first input stays serial (paper §6's easy class).
-	// Selection only reads edge counts and structure, so any fat second side
-	// works.
-	if sel, f := p.Select(star(60), star(60)); sel.Name() != "core" || !f.Acyclic {
-		t.Errorf("large acyclic: selected %s (features %+v)", sel.Name(), f)
-	}
-
-	// A single-slot pool degenerates to serial search with spawn overhead:
-	// even the large non-acyclic instance stays on the (memoizable) serial
-	// walker.
-	p1 := engine.NewPortfolio(engine.PortfolioConfig{Workers: 1})
-	if sel, _ := p1.Select(big, big); sel.Name() != "core" {
-		t.Errorf("single worker: selected %s, want core", sel.Name())
-	}
-
-	// Mid-size products between the multi-worker and single-worker
-	// thresholds (majority-7: 35×35 = 1225) go parallel when extra workers
-	// exist — the work-stealing pool's fixed overhead is small — but stay
-	// serial on a single-slot pool.
-	mid := gen.Majority(7)
-	if sel, f := p.Select(mid, mid); sel.Name() != "core-parallel" {
-		t.Errorf("mid size, 4 workers: selected %s (features %+v)", sel.Name(), f)
-	}
-	if sel, _ := p1.Select(mid, mid); sel.Name() != "core" {
-		t.Errorf("mid size, 1 worker: selected %s, want core", sel.Name())
+	if sel, _ := p.Select(gen.Majority(9), gen.Majority(9)); sel.Name() != "core" {
+		t.Errorf("majority-9: selected %s, want core", sel.Name())
 	}
 }
 

@@ -3,91 +3,47 @@ package engine
 // Portfolio dispatch. Gottlob–Malizia ("Achieving New Upper Bounds for the
 // Hypergraph Duality Problem through Logic") underline that no single
 // duality algorithm dominates across instance shapes; the Portfolio engine
-// therefore selects per instance on cheap features:
+// selects per instance on edge counts alone:
 //
 //   - A side with ≤ 2 edges goes to FK-B, whose small-side base resolves the
 //     instance by one dualization of that tiny side — no tree search at all.
-//   - Mid-size instances (|G|·|H| below the parallel threshold) go to the
-//     serial decomposition: its session-pinnable scratch and lack of spawn
-//     overhead beat goroutines while trees are small.
-//   - Large instances go to the parallel decomposition — unless the first
-//     input is α-acyclic or has degeneracy ≤ 2, the structural classes §6 of
-//     the paper singles out: their decomposition trees stay shallow, so the
-//     serial walker wins again.
+//   - Everything else goes to the serial decomposition, which a Session runs
+//     on its pinned, memoized walker.
 //
-// Racing mode hedges the heuristic: the selected engine runs against a
-// contrasting one (FK-A against core engines, core against FK picks) under
-// a shared context, the first verdict wins and cancels the loser within one
+// The parallel decomposition is never selected. The paper's trees are at
+// most ⌊log₂|H|⌋ deep with microsecond nodes, so a stolen subtree carries
+// too little work to repay the steal's scratch re-synchronization, and
+// splitting a walk across workers forgoes the session's cross-decision
+// memo. A service already runs one session per core. core-parallel stays
+// available to callers who name it.
+//
+// Racing mode hedges the choice: the selected engine runs against a
+// contrasting one (FK-A against core, core against FK-B) under a shared
+// context, the first verdict wins and cancels the loser within one
 // tree-node/recursion-step boundary.
 
 import (
 	"context"
-	"runtime"
 
 	"dualspace/internal/core"
 	"dualspace/internal/hypergraph"
 )
 
-// Selection thresholds (see the package comment above for the rationale).
-const (
-	// fkSmallSide: at or below this min-side edge count FK-B resolves the
-	// instance directly from its small-side base.
-	fkSmallSide = 2
-	// parallelProduct: |G|·|H| at or above which the tree is expected deep
-	// enough to amortize goroutine spawns.
-	parallelProduct = 2048
-	// parallelProductMulti replaces parallelProduct when more than one
-	// worker is actually available: the work-stealing pool's fixed overhead
-	// is a handful of channel makes and worker wakeups (not a goroutine per
-	// subtree), so mid-size trees already profit from extra CPUs.
-	parallelProductMulti = 512
-	// lowDegeneracy: degeneracy at or below which the instance counts as
-	// structurally easy (paper §6) and stays on the serial walker.
-	lowDegeneracy = 2
-)
+// fkSmallSide: at or below this min-side edge count FK-B resolves the
+// instance directly from its small-side base.
+const fkSmallSide = 2
 
-// Features are the per-instance measurements the portfolio dispatches on.
-// Acyclic and Degeneracy are computed only when the cheap counts do not
-// already decide the dispatch (Structural reports whether they were).
+// Features are the per-instance counts the portfolio dispatches on.
 type Features struct {
 	// Vertices is |V|; GEdges and HEdges are |G| and |H|.
 	Vertices, GEdges, HEdges int
 	// MinSide is min(|G|,|H|); Product is |G|·|H|.
 	MinSide, Product int
-	// Structural reports that Acyclic and Degeneracy below are populated.
-	Structural bool
-	// Acyclic is α-acyclicity of g (GYO reduction).
-	Acyclic bool
-	// Degeneracy is g's min-degree-elimination degeneracy.
-	Degeneracy int
-}
-
-// ExtractFeatures computes the full feature tuple, including the structural
-// fields, for observability and tests; Select itself skips the structural
-// pass when the edge counts already decide the dispatch.
-func ExtractFeatures(g, h *hypergraph.Hypergraph) Features {
-	f := countFeatures(g, h)
-	f.Structural = true
-	f.Acyclic = g.IsAcyclic()
-	f.Degeneracy = g.Degeneracy()
-	return f
-}
-
-func countFeatures(g, h *hypergraph.Hypergraph) Features {
-	return Features{
-		Vertices: g.N(),
-		GEdges:   g.M(),
-		HEdges:   h.M(),
-		MinSide:  min(g.M(), h.M()),
-		Product:  g.M() * h.M(),
-	}
 }
 
 // PortfolioConfig parameterizes a Portfolio; the zero value is the default
-// non-racing portfolio with GOMAXPROCS-wide parallel fallback.
+// non-racing portfolio.
 type PortfolioConfig struct {
-	// Workers bounds the parallel engine's goroutines (0 = GOMAXPROCS).
-	Workers int
 	// Race runs the selected engine against a contrasting one and takes the
 	// first verdict, cancelling the loser.
 	Race bool
@@ -98,55 +54,40 @@ type PortfolioConfig struct {
 type Portfolio struct {
 	cfg      PortfolioConfig
 	serial   coreSerial
-	parallel coreParallel
 	fka, fkb fk
 }
 
-// NewPortfolio returns a portfolio over the core and FK engines.
+// NewPortfolio returns a portfolio over the serial core and FK engines.
 func NewPortfolio(cfg PortfolioConfig) *Portfolio {
-	return &Portfolio{cfg: cfg, parallel: coreParallel{workers: cfg.Workers}, fka: fk{}, fkb: fk{b: true}}
+	return &Portfolio{cfg: cfg, fkb: fk{b: true}}
 }
 
 // Name returns "portfolio".
 func (p *Portfolio) Name() string { return "portfolio" }
 
-// Caps reports the portfolio's own contract: it may parallelize and a
-// Session can pin its scratch, but a fail path is not guaranteed (the FK
-// engines do not produce one), and TrSubset runs on the serial walker.
+// Caps reports the portfolio's own contract: a Session can pin its scratch,
+// but a fail path is not guaranteed (the FK engines do not produce one), and
+// TrSubset runs on the serial walker. Only a racing portfolio searches on
+// more than one goroutine.
 func (p *Portfolio) Caps() Caps {
-	return Caps{Parallel: true, TrSubset: true, Reusable: true}
+	return Caps{Parallel: p.cfg.Race, TrSubset: true, Reusable: true}
 }
 
 // Select returns the engine the portfolio would dispatch (g, h) to, plus the
 // features that determined the choice — exposed so tests and /statsz
 // consumers can observe the policy.
 func (p *Portfolio) Select(g, h *hypergraph.Hypergraph) (Engine, Features) {
-	f := countFeatures(g, h)
+	f := Features{
+		Vertices: g.N(),
+		GEdges:   g.M(),
+		HEdges:   h.M(),
+		MinSide:  min(g.M(), h.M()),
+		Product:  g.M() * h.M(),
+	}
 	if f.MinSide <= fkSmallSide {
 		return p.fkb, f
 	}
-	// A single-slot pool degenerates to serial search with scheduler
-	// overhead and without the session-pinnable (memoized) scratch: never
-	// pick it. With real extra workers the threshold drops — see
-	// parallelProductMulti.
-	single := p.cfg.Workers == 1 || (p.cfg.Workers <= 0 && runtime.GOMAXPROCS(0) == 1)
-	threshold := parallelProductMulti
-	if single {
-		threshold = parallelProduct
-	}
-	if f.Product < threshold {
-		return p.serial, f
-	}
-	if single {
-		return p.serial, f
-	}
-	f.Structural = true
-	f.Acyclic = g.IsAcyclic()
-	f.Degeneracy = g.Degeneracy()
-	if f.Acyclic || f.Degeneracy <= lowDegeneracy {
-		return p.serial, f
-	}
-	return p.parallel, f
+	return p.serial, f
 }
 
 // rival returns the contrasting engine raced against the selection: the

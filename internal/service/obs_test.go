@@ -10,9 +10,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dualspace/internal/gen"
+	"dualspace/internal/hgio"
 )
 
 // promSample is one parsed exposition line.
@@ -259,7 +263,7 @@ func TestDecideTraceStages(t *testing.T) {
 		if v < 0 {
 			t.Errorf("trace stage %s = %v < 0", k, v)
 		}
-		if k != "wall_ns" {
+		if k != "wall_ns" && k != "walk_steals_ns" {
 			sum += v
 		}
 	}
@@ -286,6 +290,46 @@ func TestDecideTraceStages(t *testing.T) {
 	// Without ?trace=1 the block is absent.
 	if _, out := post(t, ts.URL+"/v1/decide", map[string]any{"g": gDual, "h": hDual}); out["trace"] != nil {
 		t.Errorf("untraced response has trace block: %v", out["trace"])
+	}
+}
+
+// TestDefaultDecideStaysSerial guards the default engine choice on a
+// multi-core host: a /v1/decide with no engine field, on an instance large
+// enough that the portfolio once sent it to the work-stealing search, must
+// run on the worker session's serial walker. The process-wide spawn and
+// steal counters must not move, and the trace must show walk time but no
+// steal re-synchronization.
+func TestDefaultDecideStaysSerial(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	_, ts := newTestServer(t, Config{})
+	var g strings.Builder
+	if err := hgio.WriteHypergraph(&g, gen.Majority(9), nil); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := scrapeMetrics(t, ts.URL)
+	code, out := post(t, ts.URL+"/v1/decide?trace=1", map[string]any{"g": g.String(), "h": g.String()})
+	if code != 200 || out["dual"] != true || out["engine"] != "portfolio" {
+		t.Fatalf("decide majority-9: code=%d out=%v", code, out)
+	}
+	after, _ := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"dualspace_walk_spawns_total", "dualspace_walk_steals_total"} {
+		b, okB := find(before, name)
+		a, okA := find(after, name)
+		if !okB || !okA {
+			t.Fatalf("%s missing from /metricsz", name)
+		}
+		if a != b {
+			t.Errorf("%s moved from %v to %v on a default decision", name, b, a)
+		}
+	}
+	tr := traceOf(t, out)
+	if tr["walk_ns"] <= 0 {
+		t.Errorf("default decision recorded no serial walk time: %v", tr)
+	}
+	if tr["walk_steals_ns"] != 0 {
+		t.Errorf("default decision recorded walk_steals_ns = %v, want 0", tr["walk_steals_ns"])
 	}
 }
 

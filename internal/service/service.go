@@ -764,6 +764,9 @@ type traceStats struct {
 	IndexSyncNs    int64 `json:"index_sync_ns,omitempty"`
 	WalkNs         int64 `json:"walk_ns,omitempty"`
 	MemoNs         int64 `json:"memo_ns,omitempty"`
+	// WalkStealsNs sums steal re-synchronization across core-parallel's
+	// workers; it is not a disjoint stage (see docs/OBSERVABILITY.md).
+	WalkStealsNs int64 `json:"walk_steals_ns,omitempty"`
 }
 
 // traceState accumulates a /v1/decide request's stage timings. The
@@ -795,6 +798,7 @@ func (t *traceState) attach(resp *decideResponse) {
 		IndexSyncNs:    t.stages[obs.StageIndexSync],
 		WalkNs:         t.stages[obs.StageWalk],
 		MemoNs:         t.stages[obs.StageMemo],
+		WalkStealsNs:   t.stages[obs.StageWalkSteals],
 	}
 }
 
